@@ -21,14 +21,13 @@ inline double MsBetween(Clock::time_point a, Clock::time_point b) {
 }
 inline double MsSince(Clock::time_point t) { return MsBetween(t, Clock::now()); }
 
-/// Nearest-rank quantile (q in [0, 1]) of `v`; 0 for an empty sample.
-inline double Quantile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  size_t rank = static_cast<size_t>(q * static_cast<double>(v.size()) + 0.999999);
-  rank = std::clamp<size_t>(rank, 1, v.size());
-  return v[rank - 1];
-}
+/// Harrell-Davis estimate of the q-quantile (q in (0, 1)) of `v`: a
+/// weighted mean of the order statistics, with Beta(q(n+1), (1-q)(n+1))
+/// weights. It varies less from run to run than a single order statistic
+/// when the sample mixes requests of very different cost, so that the
+/// order statistic at rank qn jumps between request kinds. 0 for an empty
+/// sample.
+double Quantile(std::vector<double> v, double q);
 inline double Median(const std::vector<double>& v) { return Quantile(v, 0.5); }
 
 /// Peak resident set of this process (VmHWM), in MiB.

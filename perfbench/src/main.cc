@@ -18,10 +18,13 @@
 
 namespace {
 
+/// The update stream is sized from --seconds; this keeps it small.
+constexpr uint64_t kMaxSeconds = 600;
+
 int Usage(const char* why) {
   std::fprintf(stderr,
                "perfbench: %s\nusage: perfbench --workload <team_search|topic_search|"
-               "write_mix> --seed <n> --seconds <s> --trace <0|1> --run-dir <dir>\n",
+               "write_mix> --seed <n> --seconds <1..600> --trace <0|1> --run-dir <dir>\n",
                why);
   return 2;
 }
@@ -50,7 +53,7 @@ int main(int argc, char** argv) {
     } else if (key == "--seed" && ParseUint(value, &n)) {
       cfg.seed = n;
       have_seed = true;
-    } else if (key == "--seconds" && ParseUint(value, &n) && n >= 1 && n <= 3600) {
+    } else if (key == "--seconds" && ParseUint(value, &n) && n >= 1 && n <= kMaxSeconds) {
       cfg.seconds = static_cast<double>(n);
       have_seconds = true;
     } else if (key == "--trace" && (value == "0" || value == "1")) {

@@ -27,9 +27,7 @@ namespace {
 // Inputs. The data graphs and the query pools are fixed, like a benchmark
 // dataset; --seed picks the request order of every round and the update
 // stream. (Graph instances drawn per seed moved every latency by 10-20%
-// between seeds, more than a regression bound can absorb.) Each
-// pool has an odd number of requests, so the median latency falls inside
-// one request's samples instead of in the gap between two.
+// between seeds, more than a regression bound can absorb.)
 // ---------------------------------------------------------------------------
 
 constexpr size_t kPeople = 16000;
@@ -42,12 +40,11 @@ constexpr size_t kMinQueries = 200;
 constexpr size_t kMinWrites = 100;
 /// Probe writes after each read round of the read workloads.
 constexpr size_t kProbeWritesPerRound = 8;
-/// Enough updates for the longest write_mix window.
-constexpr size_t kMaxWrites = 1500;
-/// Rounds of the pool run before timing, so the lazily built ball and
-/// topic indexes are warm (the ball index builds after 16 uses of a
-/// snapshot, the topic index after 8).
-constexpr int kWarmRounds = 2;
+/// Writes per second of window the update stream is sized for: about ten
+/// times the fastest rate measured on either write path (~17/s), so a much
+/// faster program still finds updates left. A run whose stream runs out
+/// before the window ends fails its checks instead of measuring less.
+constexpr size_t kMaxWritesPerSecond = 200;
 /// Random team patterns: the first ten seeds whose labels all occur in the
 /// collaboration model (the others are refused by the planner and measure
 /// nothing).
@@ -129,7 +126,7 @@ std::vector<Request> TopicPool() {
 
 /// write_mix reads: two maintained team queries and one evaluated on Gc.
 /// After each write the client reads A, B, C, then A and B again (cache
-/// hits). An odd count keeps the median inside one request's samples.
+/// hits).
 std::vector<Request> WriteReads() {
   const Request a = MakeRequest("Q1", gen::TeamQuery(0).ToText());
   const Request b = MakeRequest("Q2", gen::TeamQuery(1).ToText());
@@ -178,6 +175,14 @@ Relation ToRelation(const MatchRelation& m) {
     for (auto& list : r) list.clear();
   }
   return r;
+}
+
+/// Rounds of index warm-up: each pool request is sent this many times
+/// before timing starts, enough uses for every match context of the
+/// service to build its ball index (at the deepest bound it meets) and for
+/// the topic index to build. Users do not pay these builds per query.
+size_t IndexWarmRounds(const EngineOptions& e) {
+  return std::max<size_t>(e.ball_index.build_after_uses, e.topic_index.build_after_uses);
 }
 
 ServiceOptions MakeServiceOptions(const std::string& wal_dir, bool compression) {
@@ -348,7 +353,7 @@ class Mirror {
   /// ExpFinderService::Serve below the service: parse, compile, cache
   /// probe, maintained lookup or EvalCore::Evaluate (with the matching
   /// stages replayed one call each), result graph, ranking.
-  void Read(const Request& r, Tracer* tr) {
+  void Read(const Request& r, Tracer* tr, bool rank = true) {
     Pattern request_pattern;
     {
       Span s(tr, "query.parse");
@@ -389,6 +394,7 @@ class Mirror {
       answer = std::make_shared<const QueryAnswer>(QueryAnswer{std::move(rel), std::move(rg)});
       if (r.use_cache) cache_.Put(key, snap.version, answer);
     }
+    if (!rank) return;
     if (r.metric == RankingMetric::kTopicFusion) {
       Span s(tr, "ranking.fusion");
       EF_CHECK(TopKTopicFusion(answer->result_graph, pattern, snap.graph->graph(), r.terms,
@@ -525,10 +531,13 @@ class Writer {
  public:
   /// `svc` takes the writes; `mirror` (traced runs) replays them.
   Writer(Client* client, ExpFinderService* svc, Mirror* mirror, const std::string& wal_dir,
-         uint64_t seed)
+         uint64_t seed, double seconds)
       : client_(client), svc_(svc), mirror_(mirror), wal_dir_(wal_dir),
         shadow_(OracleGraph::CopyOf(svc->graph())),
-        updates_(GenerateUpdateStream(svc->graph(), kBatchUpdates * kMaxWrites, 0.5, seed)),
+        updates_(GenerateUpdateStream(
+            svc->graph(),
+            kBatchUpdates * (kMinWrites + kMaxWritesPerSecond * static_cast<size_t>(seconds)),
+            0.5, seed)),
         stream_(wal_dir) {
     Reanchor();
   }
@@ -654,7 +663,8 @@ class Writer {
 // Metrics.
 // ---------------------------------------------------------------------------
 
-void AddEndToEnd(const Client& c, double setup_s, double queries_per_s, Outcome* out) {
+void AddEndToEnd(const Client& c, double setup_s, double queries_per_s, double peak_rss_mb,
+                 Outcome* out) {
   out->Add("setup_s", "s", setup_s);
   out->Add("query_p50_ms", "ms", Median(c.query_ms));
   out->Add("query_p95_ms", "ms", Quantile(c.query_ms, 0.95));
@@ -662,7 +672,7 @@ void AddEndToEnd(const Client& c, double setup_s, double queries_per_s, Outcome*
   out->Add("mutate_p50_ms", "ms", Median(c.mutate_ms));
   out->Add("mutate_p90_ms", "ms", Quantile(c.mutate_ms, 0.90));
   out->Add("replica_apply_p50_ms", "ms", Median(c.replica_ms));
-  out->Add("peak_rss_mb", "MB", PeakRssMb());
+  out->Add("peak_rss_mb", "MB", peak_rss_mb);
 }
 
 struct SetupFigures {
@@ -782,6 +792,15 @@ struct Captured {
   QueryResponse response;
 };
 
+/// The window ends when its time is up and every percentile has enough
+/// samples; ending earlier means the update stream ran out.
+void CheckWindow(double window_ms, const RunConfig& cfg, const Client& c, Outcome* out) {
+  out->Check(window_ms >= cfg.seconds * 1e3 && c.query_ms.size() >= kMinQueries &&
+                 c.mutate_ms.size() >= kMinWrites,
+             "update stream ran out after " + std::to_string(c.mutate_ms.size()) +
+                 " writes in a " + std::to_string(window_ms / 1e3) + " s window");
+}
+
 /// Checks every distinct read of the pool once against the oracle.
 void VerifyReads(const std::vector<Request>& pool, const std::vector<Captured>& captured,
                  ExpFinderService* svc, const OracleGraph& og, Outcome* out) {
@@ -820,25 +839,36 @@ void VerifyReads(const std::vector<Request>& pool, const std::vector<Captured>& 
 
 void RunReadWorkload(const RunConfig& cfg, bool topics, Outcome* out) {
   std::vector<Request> pool = topics ? TopicPool() : TeamPool();
-  // Reads go to a read-only service; the write probe goes to a twin with
-  // the same graph and configuration, so its samples spread over the whole
-  // window without ever invalidating the read service's warm state.
+  // Set-up: the graph, the read service, compression, index warm-up. The
+  // warm-up requests are unranked: ranking builds nothing that lasts.
   Graph g = CollaborationGraph(topics);
-  Graph twin_graph = g;
   const ServiceOptions so = MakeServiceOptions(cfg.run_dir + "/wal", !topics);
+  auto svc = std::make_unique<ExpFinderService>(&g, so);
+  EF_CHECK(svc->durable()) << svc->durability_status();
+  if (!topics) EF_CHECK(svc->CompressNow().ok());
+  const size_t warm_rounds = IndexWarmRounds(so.engine);
+  for (size_t round = 0; round < warm_rounds; ++round) {
+    for (const Request& r : pool) {
+      QueryRequest q = ToQuery(r, Parse(r.text));
+      q.top_k.reset();
+      EF_CHECK(svc->Query(q).ok());
+    }
+  }
+  const double setup_s = MsSince(cfg.process_start) / 1e3;
+
+  // The write probe goes to a twin with the same graph and configuration,
+  // so its samples spread over the whole window without ever invalidating
+  // the read service's warm state. The twin is the benchmark's own
+  // apparatus, so it is made after set-up.
+  Graph twin_graph = CollaborationGraph(topics);
   ServiceOptions twin_so = so;
   twin_so.durability.dir = cfg.run_dir + "/twin-wal";
-  auto svc = std::make_unique<ExpFinderService>(&g, so);
   auto twin = std::make_unique<ExpFinderService>(&twin_graph, twin_so);
-  EF_CHECK(svc->durable() && twin->durable()) << svc->durability_status();
-  if (!topics) EF_CHECK(svc->CompressNow().ok() && twin->CompressNow().ok());
+  EF_CHECK(twin->durable()) << twin->durability_status();
+  if (!topics) EF_CHECK(twin->CompressNow().ok());
   Client client;
   client.svc = svc.get();
   client.out = out;
-  for (int round = 0; round < kWarmRounds; ++round) {
-    for (const Request& r : pool) EF_CHECK(svc->Query(ToQuery(r, Parse(r.text))).ok());
-  }
-  const double setup_s = MsSince(cfg.process_start) / 1e3;
 
   // Traced runs replay every request on the benchmark's own layer stacks,
   // warmed like the services.
@@ -852,13 +882,13 @@ void RunReadWorkload(const RunConfig& cfg, bool topics, Outcome* out) {
     twin_mirror = std::make_unique<Mirror>(twin->graph(), so.engine, std::vector<Pattern>{},
                                            cfg.run_dir + "/twin-mirror-wal");
     client.mirror = mirror.get();
-    for (int round = 0; round < kWarmRounds; ++round) {
-      for (const Request& r : pool) mirror->Read(r, nullptr);
+    for (size_t round = 0; round < warm_rounds; ++round) {
+      for (const Request& r : pool) mirror->Read(r, nullptr, /*rank=*/false);
     }
     client.tr = &tracer;
   }
   Writer writer(&client, twin.get(), twin_mirror.get(), twin_so.durability.dir,
-                cfg.seed + 101);
+                cfg.seed + 101, cfg.seconds);
   const OracleGraph og = OracleGraph::CopyOf(svc->graph());
   const uint64_t version = svc->version();
 
@@ -886,6 +916,8 @@ void RunReadWorkload(const RunConfig& cfg, bool topics, Outcome* out) {
     round_rates.push_back(static_cast<double>(pool.size()) / (MsSince(r0) / 1e3));
     for (size_t i = 0; i < kProbeWritesPerRound; ++i) writer.Step();
   }
+  const double peak_rss_mb = PeakRssMb();
+  CheckWindow(MsSince(w0), cfg, client, out);
   client.tr = nullptr;
   VerifyReads(pool, captured, svc.get(), og, out);
   writer.CheckEndState();
@@ -895,7 +927,7 @@ void RunReadWorkload(const RunConfig& cfg, bool topics, Outcome* out) {
     AddPerLayer(client, tracer, fig, out);
     tracer.Write(cfg.run_dir + "/../trace-" + cfg.workload + ".jsonl");
   } else {
-    AddEndToEnd(client, setup_s, Median(round_rates), out);
+    AddEndToEnd(client, setup_s, Median(round_rates), peak_rss_mb, out);
   }
 }
 
@@ -925,7 +957,7 @@ void RunWriteMix(const RunConfig& cfg, Outcome* out) {
     client.mirror = mirror.get();
     client.tr = &tracer;
   }
-  Writer writer(&client, svc.get(), mirror.get(), wal_dir, cfg.seed + 101);
+  Writer writer(&client, svc.get(), mirror.get(), wal_dir, cfg.seed + 101, cfg.seconds);
 
   // Timed window: rounds of one write followed by read-your-writes reads.
   std::vector<double> round_rates;
@@ -945,8 +977,9 @@ void RunWriteMix(const RunConfig& cfg, Outcome* out) {
     }
     round_rates.push_back(static_cast<double>(reads.size()) / (MsSince(r0) / 1e3));
   }
+  const double peak_rss_mb = PeakRssMb();
+  CheckWindow(MsSince(w0), cfg, client, out);
   client.tr = nullptr;
-  out->Check(client.mutate_ms.size() >= kMinWrites, "update stream ran out");
 
   // End state at the final version.
   writer.CheckEndState();
@@ -970,7 +1003,7 @@ void RunWriteMix(const RunConfig& cfg, Outcome* out) {
     AddPerLayer(client, tracer, fig, out);
     tracer.Write(cfg.run_dir + "/../trace-" + cfg.workload + ".jsonl");
   } else {
-    AddEndToEnd(client, setup_s, Median(round_rates), out);
+    AddEndToEnd(client, setup_s, Median(round_rates), peak_rss_mb, out);
   }
 }
 
