@@ -4,10 +4,10 @@
 // several worker counts with queue-latency counters, concurrent QueryBatch
 // callers on one shared service (PR 3 serialized these behind a mutex; the
 // reentrant executor interleaves them), concurrent readers, and a mixed
-// read/write stream (Mutate interleaved with batches). The serial loop and
-// the batch run evaluate the *same* request list, so serial_ms / batch_ms
-// is the batch speedup on this host (1.0x on a single-core machine; the
-// fan-out pays off with the cores).
+// read/write stream (Mutate interleaved with batches), and Mutate alone with
+// compression maintained. The serial loop and the batch run evaluate the
+// *same* request list, so serial_ms / batch_ms is the batch speedup on this
+// host (1.0x on a single-core machine; the fan-out pays off with the cores).
 
 #include <benchmark/benchmark.h>
 
@@ -236,6 +236,28 @@ void BM_ServiceMixedReadWrite(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kBatchRequests));
 }
 BENCHMARK(BM_ServiceMixedReadWrite)->UseRealTime();
+
+void BM_ServiceMutateCompressed(benchmark::State& state) {
+  // The write path with compression maintained: one 8-update Mutate per
+  // iteration on a 16k-person network. Maintenance patches only the Gc
+  // classes the batch touches and publish freezes Gc once, so a write costs
+  // the batch itself, the publish of G and one Gc capture.
+  static const Graph base = MakeCollab(16000, 1);
+  Graph g = base;
+  ServiceOptions opts = ReaderOptions();
+  opts.engine.use_compression = true;
+  ExpFinderService service(&g, opts);
+  uint64_t seed = 1;
+  for (auto _ : state) {
+    state.PauseTiming();
+    UpdateBatch updates = GenerateUpdateStream(g, 8, 0.5, seed++);
+    state.ResumeTiming();
+    EF_CHECK(service.Mutate(updates).ok());
+  }
+  state.counters["classes"] = static_cast<double>(service.compressed()->NumClasses());
+  state.counters["node_ratio"] = service.compressed()->NodeRatio();
+}
+BENCHMARK(BM_ServiceMutateCompressed)->Unit(benchmark::kMillisecond);
 
 void BM_ServiceCachedQuery(benchmark::State& state) {
   // The serving fast path: shared cache hit under the reader lock.

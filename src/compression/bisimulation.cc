@@ -62,17 +62,18 @@ Partition ComputeBisimulation(const Graph& g, const Partition& initial,
   return p;
 }
 
-bool RefineOnce(const Graph& g, Partition* current) {
-  EF_CHECK(current->block_of.size() == g.NumNodes());
-  return SplitBySignature(g, current);
+std::vector<std::vector<NodeId>> BlockMembers(const Partition& p) {
+  std::vector<std::vector<NodeId>> members(p.num_blocks);
+  for (NodeId v = 0; v < p.block_of.size(); ++v) members[p.block_of[v]].push_back(v);
+  return members;
 }
 
 size_t RefineFrom(const Graph& g, Partition* p,
-                  const std::vector<NodeId>& dirty_nodes) {
+                  std::vector<std::vector<NodeId>>* members,
+                  const std::vector<NodeId>& dirty_nodes,
+                  std::vector<uint32_t>* visited) {
   EF_CHECK(p->block_of.size() == g.NumNodes());
-  // Block member lists (rebuilt once; split bookkeeping keeps them exact).
-  std::vector<std::vector<NodeId>> members(p->num_blocks);
-  for (NodeId v = 0; v < g.NumNodes(); ++v) members[p->block_of[v]].push_back(v);
+  EF_CHECK(members->size() == p->num_blocks);
 
   std::vector<char> queued(p->num_blocks, 0);
   std::vector<uint32_t> queue;
@@ -101,12 +102,12 @@ size_t RefineFrom(const Graph& g, Partition* p,
   while (head < queue.size()) {
     uint32_t block = queue[head++];
     queued[block] = 0;
-    if (members[block].size() <= 1) continue;
+    if ((*members)[block].size() <= 1) continue;
     // Group members by successor-block signature (own block is shared, so
     // it is omitted). Group order follows member id order: deterministic.
     std::unordered_map<std::vector<uint32_t>, uint32_t, VecHash> group_of;
     std::vector<std::vector<NodeId>> groups;
-    for (NodeId v : members[block]) {
+    for (NodeId v : (*members)[block]) {
       sig.clear();
       for (NodeId w : g.OutNeighbors(v)) sig.push_back(p->block_of[w]);
       std::sort(sig.begin(), sig.end());
@@ -118,7 +119,7 @@ size_t RefineFrom(const Graph& g, Partition* p,
     if (groups.size() == 1) continue;
     // First group keeps the block id; the rest get fresh ids. Predecessors
     // of every *moved* node see a changed signature and must be re-checked.
-    members[block] = std::move(groups[0]);
+    (*members)[block] = std::move(groups[0]);
     for (size_t gi = 1; gi < groups.size(); ++gi) {
       uint32_t fresh = p->num_blocks++;
       ++new_blocks;
@@ -126,12 +127,13 @@ size_t RefineFrom(const Graph& g, Partition* p,
         p->block_of[v] = fresh;
         for (NodeId w : g.InNeighbors(v)) enqueue(p->block_of[w]);
       }
-      members.push_back(std::move(groups[gi]));
+      members->push_back(std::move(groups[gi]));
     }
     // The shrunk block's own members kept their signatures, but their
     // predecessors may now distinguish them from the moved ones.
     enqueue(block);
   }
+  if (visited != nullptr) *visited = std::move(queue);
   return new_blocks;
 }
 

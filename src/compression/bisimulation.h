@@ -35,19 +35,25 @@ struct Partition {
 Partition ComputeBisimulation(const Graph& g, const Partition& initial,
                               int* iterations_out = nullptr);
 
-/// One refinement pass used by incremental maintenance: splits blocks by
-/// signature exactly once, starting from `current`. Returns true when
-/// anything split.
-bool RefineOnce(const Graph& g, Partition* current);
+/// Per-block member lists of `p`, each in ascending node order — the layout
+/// RefineFrom maintains.
+std::vector<std::vector<NodeId>> BlockMembers(const Partition& p);
 
 /// Localized re-stabilization for incremental maintenance: `current` was
 /// stable before the graph changed; only nodes in `dirty_nodes` (sources of
 /// touched edges) have altered signatures. Re-splits their blocks and
 /// propagates backwards along in-edges until stable — cost proportional to
-/// the affected region instead of |G| per pass. Returns the number of new
-/// blocks created.
+/// the affected region instead of |G| per pass. `members` holds the block
+/// member lists of `current` (as BlockMembers builds them) and is kept
+/// exact: a split shrinks its block's list in place and appends one list per
+/// fresh block. `visited` (optional) receives every block the worklist
+/// visited, repeats included; with the fresh blocks these are all the
+/// blocks whose successor-block sets may have changed. Returns the number of
+/// new blocks created.
 size_t RefineFrom(const Graph& g, Partition* current,
-                  const std::vector<NodeId>& dirty_nodes);
+                  std::vector<std::vector<NodeId>>* members,
+                  const std::vector<NodeId>& dirty_nodes,
+                  std::vector<uint32_t>* visited = nullptr);
 
 /// True when `p` is stable on `g` (no signature split possible); the
 /// stability invariant checked by tests after maintenance.

@@ -11,68 +11,62 @@ Result<MaintainedCompression> MaintainedCompression::Create(const Graph* g,
     return Status::InvalidArgument("rebuild_factor must be >= 1.0");
   }
   MaintainedCompression mc(g, std::move(schema), rebuild_factor);
-  auto built = CompressedGraph::Build(*g, mc.schema_, EquivalenceMode::kBisimulation);
-  if (!built.ok()) return built.status();
-  mc.cg_ = std::move(built).value();
-  mc.blocks_at_last_rebuild_ = mc.cg_.NumClasses();
+  mc.BuildFromSchema();
   return mc;
+}
+
+const CompressedGraph& MaintainedCompression::current() {
+  if (!frozen_current_) {
+    frozen_ = CompressedGraph::Freeze(working_, schema_, EquivalenceMode::kBisimulation);
+    frozen_current_ = true;
+  }
+  return frozen_;
 }
 
 size_t MaintainedCompression::OnGraphUpdated(const UpdateBatch& batch) {
   ++num_maintenances_;
   // Note: only edge updates are supported; attribute/label changes would
   // invalidate the schema partition and require Rebuild().
-  EF_CHECK(g_->NumNodes() == cg_.partition().block_of.size())
+  EF_CHECK(g_->NumNodes() == working_.partition.block_of.size())
       << "node set changed; call Rebuild()";
   // Only the *source* endpoint of a touched edge changes its (forward)
   // signature; everything else is reached by the backward split propagation.
   std::vector<NodeId> dirty;
   dirty.reserve(batch.size());
   for (const GraphUpdate& u : batch) dirty.push_back(u.src);
-  Partition p = cg_.partition();
-  size_t new_blocks = RefineFrom(*g_, &p, dirty);
-  if (p.num_blocks >
+  std::vector<uint32_t> visited;
+  size_t new_blocks =
+      RefineFrom(*g_, &working_.partition, &working_.members, dirty, &visited);
+  frozen_current_ = false;
+  if (working_.partition.num_blocks >
       static_cast<uint32_t>(rebuild_factor_ * blocks_at_last_rebuild_)) {
     Rebuild();
     return new_blocks;
   }
-  cg_.RebuildFromPartition(*g_, std::move(p));
+  working_.Patch(*g_, schema_, std::move(visited));
   return new_blocks;
 }
 
-size_t MaintainedCompression::OnGraphUpdated() {
-  ++num_maintenances_;
-  EF_CHECK(g_->NumNodes() == cg_.partition().block_of.size())
-      << "node set changed; call Rebuild()";
-  Partition p = cg_.partition();
-  size_t passes = 0;
-  while (RefineOnce(*g_, &p)) {
-    ++passes;
-    EF_CHECK(passes <= g_->NumNodes() + 1) << "maintenance refinement diverged";
-  }
-  if (p.num_blocks >
-      static_cast<uint32_t>(rebuild_factor_ * blocks_at_last_rebuild_)) {
-    Rebuild();
-    return passes;
-  }
-  cg_.RebuildFromPartition(*g_, std::move(p));
-  return passes;
-}
-
 void MaintainedCompression::OnNodeAdded(NodeId v) {
-  EF_CHECK(g_->IsValidNode(v) && v == cg_.partition().block_of.size())
+  EF_CHECK(g_->IsValidNode(v) && v == working_.partition.block_of.size())
       << "OnNodeAdded must follow Graph::AddNode immediately";
-  Partition p = cg_.partition();
-  p.block_of.push_back(p.num_blocks++);
-  cg_.RebuildFromPartition(*g_, std::move(p));
+  const uint32_t cls = working_.partition.num_blocks++;
+  working_.partition.block_of.push_back(cls);
+  working_.members.push_back({v});
+  working_.AddClassNode(*g_, schema_, cls);
+  working_.Stamp(*g_);
+  frozen_current_ = false;
 }
 
 void MaintainedCompression::Rebuild() {
   ++num_rebuilds_;
-  auto built = CompressedGraph::Build(*g_, schema_, EquivalenceMode::kBisimulation);
-  EF_CHECK(built.ok()) << built.status();
-  cg_ = std::move(built).value();
-  blocks_at_last_rebuild_ = cg_.NumClasses();
+  BuildFromSchema();
+}
+
+void MaintainedCompression::BuildFromSchema() {
+  working_.Reset(*g_, schema_, ComputeBisimulation(*g_, SchemaPartition(*g_, schema_)));
+  blocks_at_last_rebuild_ = working_.partition.num_blocks;
+  frozen_current_ = false;
 }
 
 }  // namespace expfinder

@@ -114,21 +114,18 @@ std::shared_ptr<const EngineSnapshot> QueryEngine::Publish() {
   const EngineOptions& opts = core_.options();
   if (opts.use_compression && compression_ != nullptr &&
       compression_->current().source_version() == g_->version()) {
-    // Freeze the compressed view only when it is current — the snapshot
-    // then needs no version check at evaluation time. The frozen handles
-    // are reused across publishes while the view is unchanged.
+    // Attach the compressed view only when it is current — the snapshot
+    // then needs no version check at evaluation time. current() froze Gc
+    // once after the last change; the view and compressed_graph share that
+    // capture, and an unchanged view is reused as is.
     const CompressedGraph& cg = compression_->current();
-    if (published_ != nullptr && published_->compressed != nullptr &&
-        published_->compressed->source_version() == cg.source_version() &&
-        published_->compressed_graph->uid() == cg.gc().uid() &&
-        published_->compressed_graph->version() == cg.gc().version()) {
+    if (published_ != nullptr && published_->compressed_graph == cg.gc_snapshot()) {
       next->compressed = published_->compressed;
-      next->compressed_graph = published_->compressed_graph;
     } else {
       next->compressed = std::make_shared<const CompressedGraph>(cg);
-      next->compressed_graph = next->compressed->gc().Publish();
       ++snapshot_csr_builds_;
     }
+    next->compressed_graph = next->compressed->gc_snapshot();
   }
   next->maintained.reserve(maintained_.size());
   for (const auto& [key, m] : maintained_) {

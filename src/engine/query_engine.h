@@ -7,8 +7,10 @@
 // graph, the result cache, the incremental maintainers, the compression
 // state — and turns it into immutable EngineSnapshots via Publish():
 //
-//   Publish():     freeze (graph copy + CSR, current compressed view,
-//                  materialized maintained relations) into a refcounted
+//   Publish():     freeze (graph copy + CSR, current compressed view —
+//                  one Gc capture per change, shared with the snapshot's
+//                  compressed_graph — materialized maintained relations)
+//                  into a refcounted
 //                  EngineSnapshot. Lazy: republishes only when a mutation
 //                  happened since the last publish, and reuses the graph /
 //                  compressed handles that didn't change.
@@ -19,7 +21,8 @@
 //                  otherwise -> direct (bounded) simulation, all through
 //                  EvalCore against the published snapshot.
 //   ApplyUpdates:  routes batches through every registered incremental
-//                  state, then re-stabilizes the compressed graph. The next
+//                  state, then re-stabilizes the compressed graph, patching
+//                  only the classes the batch touched. The next
 //                  Publish() carries the transition to readers — maintainer
 //                  PreUpdate/PostUpdate are the first half of the publish
 //                  step (ExpFinderService::Mutate completes it by swapping
@@ -117,7 +120,8 @@ class QueryEngine {
   /// The current published snapshot, republishing first when any mutation
   /// happened since the last publish. Cheap when current (two integer
   /// compares); a republish costs the graph copy + CSR build plus the
-  /// materialization of maintained relations and the compressed view.
+  /// materialization of maintained relations and, when the compressed view
+  /// changed, one Gc capture.
   /// Handles unchanged by the mutation (e.g. the graph after
   /// RegisterMaintainedQuery) are reused, not recaptured. Not thread-safe
   /// against other engine calls — the service serializes Publish behind its

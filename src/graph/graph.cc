@@ -19,6 +19,7 @@ uint64_t Graph::NextUid() {
 }
 
 std::shared_ptr<const GraphSnapshot> Graph::Publish() const {
+  if (frozen_in_.snapshot != nullptr) return frozen_in_.snapshot->shared_from_this();
   return GraphSnapshot::Capture(*this);
 }
 

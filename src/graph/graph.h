@@ -123,7 +123,9 @@ class Graph {
   /// graph_snapshot.h): a refcounted handle bundling a frozen copy of this
   /// graph, its CSR, and a lazily attached ball index. The snapshot shares
   /// nothing with this graph — mutating on after Publish never disturbs
-  /// readers holding the handle.
+  /// readers holding the handle. Publishing the frozen copy inside a
+  /// snapshot (GraphSnapshot::graph()) returns that snapshot: it can never
+  /// change, so a second capture would only duplicate it.
   std::shared_ptr<const GraphSnapshot> Publish() const;
 
   /// Process-unique construction identity. Every default-constructed Graph
@@ -161,6 +163,18 @@ class Graph {
   std::vector<std::vector<std::pair<AttrKeyId, AttrValue>>> attrs_;  // per node
   std::vector<std::vector<NodeId>> label_index_;     // label id -> nodes
   std::shared_ptr<TopicIndexSlot> topic_slot_;       // see topic_slot()
+  /// The snapshot this graph is the frozen copy of, else null. Copies and
+  /// moves start out null: only GraphSnapshot sets it, on its own copy.
+  friend class GraphSnapshot;
+  struct FrozenIn {
+    const GraphSnapshot* snapshot = nullptr;
+    FrozenIn() = default;
+    FrozenIn(const FrozenIn&) {}
+    FrozenIn& operator=(const FrozenIn&) {
+      snapshot = nullptr;
+      return *this;
+    }
+  } frozen_in_;
   size_t num_edges_ = 0;
   uint64_t version_ = 0;
   uint64_t uid_ = NextUid();

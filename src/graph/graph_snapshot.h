@@ -45,7 +45,7 @@ struct TopicIndexOptions;
 
 /// \brief One published, immutable version of a Graph: private graph copy +
 /// CSR + lazily attached shared ball index.
-class GraphSnapshot {
+class GraphSnapshot : public std::enable_shared_from_this<GraphSnapshot> {
  public:
   /// Captures the current state of `g` (O(n + m + attrs) copy + CSR build).
   /// Prefer Graph::Publish(), which reads as what it is.
@@ -105,7 +105,9 @@ class GraphSnapshot {
   const TopicIndex* CachedTopicIndex() const;
 
  private:
-  explicit GraphSnapshot(const Graph& g) : graph_(g), csr_(graph_) {}
+  explicit GraphSnapshot(const Graph& g) : graph_(g), csr_(graph_) {
+    graph_.frozen_in_.snapshot = this;
+  }
 
   Graph graph_;  // declared before csr_: the CSR is built over the copy
   Csr csr_;

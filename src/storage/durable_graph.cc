@@ -280,8 +280,9 @@ Status DurableGraph::Checkpoint(const Graph& g, uint64_t applied_lsn) {
   last_checkpoint_lsn_ = applied_lsn;
   if (wal_->next_lsn() <= applied_lsn) {
     // Everything logged so far is covered: seal the active segment so it
-    // can be dropped too (the next append starts fresh).
-    wal_->Rotate();
+    // can be dropped too. The fresh segment Rotate opens keeps naming the
+    // next LSN once every record is gone.
+    EF_RETURN_NOT_OK(wal_->Rotate());
   }
   return wal_->TruncateBefore(applied_lsn);
 }

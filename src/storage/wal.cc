@@ -266,7 +266,27 @@ Result<WalTail> Wal::TailFrom(const std::string& dir, FileOps* file_ops,
   return tail;
 }
 
+Status Wal::Rotate() {
+  EF_RETURN_NOT_OK(SealActive());
+  return OpenFreshSegment();
+}
+
+Status Wal::SealActive() {
+  if (writer_ == nullptr) return Status::OK();
+  // Sync regardless of policy: a torn tail in a sealed (no-longer-final)
+  // segment reads as data_loss at recovery, not the bounded tail loss
+  // kInterval/kNone signed up for — one sync per sealed segment closes that
+  // window cheaply.
+  EF_RETURN_NOT_OK(writer_->Sync());
+  last_sync_.Reset();
+  writer_.reset();
+  return Status::OK();
+}
+
 Status Wal::OpenFreshSegment() {
+  // An empty last segment (a rotation nothing was appended after) already
+  // carries this name: reopen it instead of listing it twice.
+  if (!segments_.empty() && segments_.back().first_lsn == next_lsn_) segments_.pop_back();
   Segment seg;
   seg.first_lsn = next_lsn_;
   seg.path = options_.dir + "/" + SegmentName(next_lsn_);
@@ -284,13 +304,7 @@ Result<uint64_t> Wal::Append(std::string_view payload) {
                                    std::to_string(payload.size()) + " bytes");
   }
   if (writer_ != nullptr && writer_bytes_ >= options_.segment_bytes) {
-    // Seal and rotate. Sync regardless of policy: a torn tail in a sealed
-    // (no-longer-final) segment reads as data_loss at recovery, not the
-    // bounded tail loss kInterval/kNone signed up for — one sync per
-    // segment_bytes closes that window cheaply.
-    EF_RETURN_NOT_OK(writer_->Sync());
-    last_sync_.Reset();
-    writer_.reset();
+    EF_RETURN_NOT_OK(SealActive());
   }
   if (writer_ == nullptr) {
     EF_RETURN_NOT_OK(OpenFreshSegment());
@@ -337,17 +351,6 @@ Status Wal::TruncateBefore(uint64_t lsn) {
       break;
     }
     ++dropped;
-  }
-  // The active (last) segment is droppable too when fully covered and
-  // already sealed (writer closed, e.g. right after recovery).
-  if (first_error.ok() && segments_.size() == dropped + 1 &&
-      writer_ == nullptr && !segments_.empty() && next_lsn_ <= lsn) {
-    Status st = fops_->RemoveFile(segments_.back().path);
-    if (st.ok() || st.IsNotFound()) {
-      ++dropped;
-    } else {
-      first_error = st;
-    }
   }
   segments_.erase(segments_.begin(), segments_.begin() + dropped);
   return first_error;

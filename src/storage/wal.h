@@ -135,12 +135,18 @@ class Wal {
   Status Sync();
 
   /// Drops sealed segments whose records all have LSN < `lsn` (they are
-  /// covered by a checkpoint). The active segment is never dropped.
+  /// covered by a checkpoint). The last segment is never dropped, so the
+  /// directory always names the next LSN.
   Status TruncateBefore(uint64_t lsn);
 
-  /// Seals the current segment; the next Append starts a new one. Used
-  /// before TruncateBefore when the checkpoint covers the active segment.
-  void Rotate() { writer_.reset(); }
+  /// Seals the current segment and opens the next one, named by next_lsn(),
+  /// before any record lands in it. Used before TruncateBefore when the
+  /// checkpoint covers the active segment: once the covered segments are
+  /// gone the empty one still names the next LSN, so recovery resumes the
+  /// numbering and TailFrom reports lost_prefix to a reader behind it
+  /// instead of an empty, caught-up tail. On failure the log stays sealed
+  /// and the next Append retries the open.
+  Status Rotate();
 
   /// Reads records with lsn >= `from_lsn` from the segments in `dir`, up
   /// to `max_records`, with no coordination with a live appender: the tail
@@ -179,6 +185,8 @@ class Wal {
 
   Wal(WalOptions options, FileOps* fops) : options_(std::move(options)), fops_(fops) {}
 
+  /// Syncs and closes the active segment (no-op when none is open).
+  Status SealActive();
   Status OpenFreshSegment();
 
   WalOptions options_;

@@ -106,12 +106,12 @@ TEST(BisimulationTest, LocalizedRefineMatchesFullRefineAsPartition) {
     Partition localized = stable;
     std::vector<NodeId> dirty;
     for (const GraphUpdate& u : batch) dirty.push_back(u.src);
-    RefineFrom(g, &localized, dirty);
+    std::vector<std::vector<NodeId>> members = BlockMembers(localized);
+    RefineFrom(g, &localized, &members, dirty);
+    EXPECT_EQ(members, BlockMembers(localized)) << "seed " << seed;
     EXPECT_TRUE(IsStablePartition(g, localized)) << "seed " << seed;
 
-    Partition full = stable;
-    while (RefineOnce(g, &full)) {
-    }
+    Partition full = ComputeBisimulation(g, stable);
     // Same partition up to block renumbering: same block iff same block.
     ASSERT_EQ(localized.block_of.size(), full.block_of.size());
     std::map<uint32_t, uint32_t> fwd, bwd;
@@ -128,19 +128,11 @@ TEST(BisimulationTest, RefineFromWithNoDirtyNodesIsNoop) {
   Graph g = gen::BuildFig1Graph();
   Partition stable = ComputeBisimulation(g, SchemaPartition(g, {true, {}}));
   Partition copy = stable;
-  EXPECT_EQ(RefineFrom(g, &copy, {}), 0u);
+  std::vector<std::vector<NodeId>> members = BlockMembers(copy);
+  std::vector<uint32_t> visited;
+  EXPECT_EQ(RefineFrom(g, &copy, &members, {}, &visited), 0u);
+  EXPECT_TRUE(visited.empty());
   EXPECT_EQ(copy.block_of, stable.block_of);
-}
-
-TEST(BisimulationTest, RefineOnceReportsChanges) {
-  Graph g;
-  for (int i = 0; i < 3; ++i) g.AddNode("N");
-  ASSERT_TRUE(g.AddEdge(0, 1).ok());
-  ASSERT_TRUE(g.AddEdge(1, 2).ok());
-  Partition p = UniformPartition(3);
-  EXPECT_TRUE(RefineOnce(g, &p));   // splits
-  Partition stable = ComputeBisimulation(g, UniformPartition(3));
-  EXPECT_FALSE(RefineOnce(g, &stable));
 }
 
 TEST(BisimulationTest, IterationCountReported) {

@@ -105,11 +105,18 @@ TEST_F(ChaosReplicationFixture, FaultedSweepMatchesSerialReplayOracle) {
   for (size_t p = 0; p < patterns.size(); ++p) {
     expected[p][serial.version()] = ComputeBoundedSimulation(serial, patterns[p]);
   }
-  constexpr size_t kNumBatches = 8;
-  for (size_t b = 0; b < kNumBatches; ++b) {
+  // The writer sends at least kMinBatches and keeps going, up to
+  // kMaxBatches, until every armed fault mode has fired at least once.
+  constexpr size_t kMinBatches = 8;
+  constexpr size_t kMaxBatches = 128;
+  std::vector<std::string> serial_text = {GraphText(serial)};
+  std::vector<uint64_t> serial_version = {serial.version()};
+  for (size_t b = 0; b < kMaxBatches; ++b) {
     UpdateBatch batch = GenerateUpdateStream(serial, 15, 0.5, 6000 + seed + b);
     ASSERT_TRUE(ApplyBatch(&serial, batch).ok());
     batches.push_back(std::move(batch));
+    serial_text.push_back(GraphText(serial));
+    serial_version.push_back(serial.version());
     for (size_t p = 0; p < patterns.size(); ++p) {
       expected[p][serial.version()] =
           ComputeBoundedSimulation(serial, patterns[p]);
@@ -129,9 +136,9 @@ TEST_F(ChaosReplicationFixture, FaultedSweepMatchesSerialReplayOracle) {
   opts.replication.retry_wait_ms = 20.0;
   opts.replication.hedge_delay_ms = 25.0;  // exercise the hedged path
   opts.replication.fallback_to_primary = true;
-  // Every transport fault mode armed at once, at rates high enough that an
-  // 8-batch run reliably hits each, low enough that replicas still make
-  // progress between incidents.
+  // Every transport fault mode armed at once, at rates high enough that a
+  // short run hits each (the writer extends the run until all have fired),
+  // low enough that replicas still make progress between incidents.
   opts.replication.delta_faults.fetch_error_prob = 0.15;
   opts.replication.delta_faults.stall_prob = 0.05;
   opts.replication.delta_faults.stall_ms = 2.0;
@@ -193,10 +200,24 @@ TEST_F(ChaosReplicationFixture, FaultedSweepMatchesSerialReplayOracle) {
     }
   };
 
+  auto unfired_modes = [&] {
+    const FaultyDeltaSource::Counters c = service.delta_faults()->counters();
+    std::string unfired;
+    if (c.fetch_errors == 0) unfired += " fetch_error";
+    if (c.stalls == 0) unfired += " stall";
+    if (c.truncated_batches == 0) unfired += " truncate";
+    if (c.duplicated_frames == 0) unfired += " duplicate";
+    if (c.garbled_frames == 0) unfired += " garble";
+    if (c.forced_lost_prefixes == 0) unfired += " lost_prefix";
+    return unfired;
+  };
+
   std::atomic<bool> writer_done{false};
   std::atomic<uint64_t> last_written_version{service.version()};
+  size_t batches_written = 0;
   std::thread writer([&] {
     for (size_t b = 0; b < batches.size(); ++b) {
+      if (b >= kMinBatches && unfired_modes().empty()) break;
       Status st = service.Mutate(batches[b]);
       if (!st.ok()) record_failure("mutate failed: " + st.ToString());
       last_written_version.store(service.version());
@@ -210,6 +231,7 @@ TEST_F(ChaosReplicationFixture, FaultedSweepMatchesSerialReplayOracle) {
         service.fleet()->RestartReplica(1);
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      batches_written = b + 1;
     }
     writer_done.store(true);
   });
@@ -247,6 +269,9 @@ TEST_F(ChaosReplicationFixture, FaultedSweepMatchesSerialReplayOracle) {
     std::lock_guard<std::mutex> lock(failures_mu);
     for (const std::string& f : failures) ADD_FAILURE() << f;
   }
+  // A sweep that skipped a fault class proves nothing about it.
+  EXPECT_EQ(unfired_modes(), "") << "armed fault modes that never fired in "
+                                 << batches_written << " batches";
 
   // Phase 2 — deterministic quarantine drill: cut the transport entirely.
   // Every replica racks up consecutive fetch failures, quarantines, and
@@ -269,12 +294,22 @@ TEST_F(ChaosReplicationFixture, FaultedSweepMatchesSerialReplayOracle) {
   // restarted and every quarantined replica — converges on the primary.
   service.delta_faults()->SetPlan({});
   const uint64_t final_version = service.version();
-  EXPECT_EQ(final_version, serial.version());
+  EXPECT_EQ(final_version, serial_version[batches_written]);
+  // A replica re-anchoring after a (forced) lost prefix stays alive at its
+  // old version until the checkpoint install lands, then falls back to the
+  // checkpoint and replays the tail. It has converged only once every
+  // re-anchor it started has installed: one install per applier start
+  // (replica 1 was restarted once) plus one per rebootstrap and per
+  // auto-restart.
+  auto reanchors_done = [&](const ReplicaStatus& r) {
+    const size_t starts = r.id == 1 ? 2 : 1;
+    return r.installs == starts + r.rebootstraps + r.auto_restarts;
+  };
   ASSERT_TRUE(WaitFor(
       [&] {
         auto rs = service.fleet()->Replicas();
         for (const ReplicaStatus& r : rs) {
-          if (!r.alive || r.version != final_version) return false;
+          if (!r.alive || r.version != final_version || !reanchors_done(r)) return false;
         }
         return true;
       },
@@ -284,7 +319,7 @@ TEST_F(ChaosReplicationFixture, FaultedSweepMatchesSerialReplayOracle) {
   // Quiesce the appliers, then check bit-identity against both the live
   // primary and the serial replay.
   std::string primary_text = GraphText(service.graph());
-  EXPECT_EQ(primary_text, GraphText(serial));
+  EXPECT_EQ(primary_text, serial_text[batches_written]);
   for (size_t i = 0; i < service.fleet()->num_replicas(); ++i) {
     service.fleet()->StopReplica(i);
     const Replica& replica = service.fleet()->replica(i);
@@ -294,7 +329,7 @@ TEST_F(ChaosReplicationFixture, FaultedSweepMatchesSerialReplayOracle) {
 
   ServiceStats s = service.stats();
   EXPECT_EQ(s.ClassifiedQueries(), s.queries);
-  EXPECT_EQ(s.deltas_shipped, kNumBatches);
+  EXPECT_EQ(s.deltas_shipped, batches_written);
   EXPECT_GT(s.routed_reads + s.routed_fallbacks, 0u);
   EXPECT_GT(s.replica_quarantines, 0u);
   EXPECT_GT(s.replica_auto_restarts, 0u);

@@ -106,6 +106,44 @@ TEST_F(DurableGraphFixture, RecoveryEqualsSerialReplayOracle) {
   EXPECT_EQ(GraphText(recovered), GraphText(oracle));
 }
 
+TEST_F(DurableGraphFixture, AckedWriteAfterFullCheckpointSurvivesRestarts) {
+  // A checkpoint covering the whole log leaves no record on disk. The next
+  // boot must still number new records past the checkpoint; records
+  // numbered below it would be skipped as stale on the boot after.
+  Graph oracle = MakeBase();
+  DurabilityOptions o = Options();
+  {
+    Graph g = MakeBase();
+    GraphRecoveryInfo info;
+    auto d = DurableGraph::Open(o, &g, &info);
+    ASSERT_TRUE(d.ok());
+    for (int i = 0; i < 3; ++i) {
+      UpdateBatch b = {i % 2 == 0 ? GraphUpdate::Insert(0, 2)
+                                  : GraphUpdate::Delete(0, 2)};
+      ASSERT_TRUE(ApplyBatch(&oracle, b).ok());
+      ASSERT_TRUE((*d)->LogBatch(b).ok());
+    }
+    ASSERT_TRUE((*d)->Checkpoint(oracle, (*d)->next_lsn()).ok());
+  }
+  {
+    Graph g;
+    GraphRecoveryInfo info;
+    auto d = DurableGraph::Open(o, &g, &info);
+    ASSERT_TRUE(d.ok()) << d.status();
+    EXPECT_EQ((*d)->next_lsn(), 3u);
+    UpdateBatch b = {GraphUpdate::Delete(0, 2)};
+    ASSERT_TRUE(ApplyBatch(&oracle, b).ok());
+    ASSERT_TRUE((*d)->LogBatch(b).ok());
+  }
+  Graph recovered;
+  GraphRecoveryInfo info;
+  auto d = DurableGraph::Open(o, &recovered, &info);
+  ASSERT_TRUE(d.ok()) << d.status();
+  EXPECT_FALSE(info.data_loss) << info.detail;
+  EXPECT_EQ(info.replayed_records, 1u);
+  EXPECT_EQ(GraphText(recovered), GraphText(oracle));
+}
+
 TEST_F(DurableGraphFixture, CheckpointTruncatesCoveredWal) {
   Graph oracle = MakeBase();
   DurabilityOptions o = Options();

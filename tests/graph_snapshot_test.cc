@@ -46,6 +46,20 @@ TEST(GraphSnapshotTest, CaptureFreezesTheGraph) {
   EXPECT_EQ(snap->csr().NumNodes(), nodes);
 }
 
+TEST(GraphSnapshotTest, PublishingTheFrozenCopyReturnsItsSnapshot) {
+  Graph g = gen::BuildFig1Graph();
+  SnapshotPtr snap = g.Publish();
+  EXPECT_EQ(snap->graph().Publish(), snap);
+  // A copy of the frozen graph is an ordinary graph again: it captures anew.
+  Graph copy = snap->graph();
+  SnapshotPtr fresh = copy.Publish();
+  EXPECT_NE(fresh, snap);
+  EXPECT_EQ(fresh->graph().Publish(), fresh);
+  copy = snap->graph();
+  EXPECT_NE(copy.Publish(), snap);
+  EXPECT_NE(g.Publish(), snap);
+}
+
 TEST(GraphSnapshotTest, MatchersAgreeOnSnapshotAndLiveGraph) {
   Graph g = gen::BuildFig1Graph();
   Pattern q = gen::BuildFig1Pattern();

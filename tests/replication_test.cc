@@ -229,6 +229,58 @@ TEST_F(ReplicationFixture, WalTailReportsLostPrefixAfterTruncation) {
   EXPECT_EQ(re_anchored->records.size(), 9 - first_surviving);
 }
 
+TEST_F(ReplicationFixture, ReplicaBehindAFullCheckpointReanchorsWithoutNewAppends) {
+  // A checkpoint that covers the whole log removes every record. A replica
+  // one batch behind must see lost_prefix on its next poll and re-anchor
+  // from the checkpoint at once, not stay stale until the next append.
+  std::string dir = FreshDir();
+  gen::CollaborationConfig cfg;
+  cfg.num_people = 60;
+  cfg.num_teams = 10;
+  Graph primary = gen::CollaborationNetwork(cfg);
+  DurabilityOptions d;
+  d.dir = dir;
+  d.background_checkpoints = false;
+  GraphRecoveryInfo info;
+  auto durable = DurableGraph::Open(d, &primary, &info);
+  ASSERT_TRUE(durable.ok()) << durable.status();
+
+  auto boot = LoadReplicaBootstrap(dir, nullptr);
+  ASSERT_TRUE(boot.ok()) << boot.status();
+  DeltaStream stream(dir, nullptr, boot->next_lsn);
+  Replica replica(0);
+  replica.Install(std::move(*boot));
+  for (int b = 0; b < 3; ++b) {
+    UpdateBatch batch = GenerateUpdateStream(primary, 8, 0.5, 1300 + b);
+    ASSERT_TRUE(ApplyBatch(&primary, batch).ok());
+    ASSERT_TRUE((*durable)->LogBatch(batch).ok());
+    auto polled = stream.Poll(64);
+    ASSERT_TRUE(polled.ok()) << polled.status();
+    ASSERT_TRUE(replica.Apply(*polled).ok());
+  }
+  EXPECT_EQ(replica.version(), primary.version());
+
+  UpdateBatch unseen = GenerateUpdateStream(primary, 8, 0.5, 1399);
+  ASSERT_TRUE(ApplyBatch(&primary, unseen).ok());
+  ASSERT_TRUE((*durable)->LogBatch(unseen).ok());
+  ASSERT_TRUE((*durable)->Checkpoint(primary, (*durable)->next_lsn()).ok());
+
+  auto behind = stream.Poll(64);
+  ASSERT_TRUE(behind.ok()) << behind.status();
+  EXPECT_TRUE(behind->lost_prefix);
+  EXPECT_TRUE(behind->deltas.empty());
+  auto anchor = LoadReplicaBootstrap(dir, nullptr);
+  ASSERT_TRUE(anchor.ok()) << anchor.status();
+  stream.Seek(anchor->next_lsn);
+  replica.Install(std::move(*anchor));
+  EXPECT_EQ(replica.version(), primary.version());
+  EXPECT_EQ(GraphText(replica.graph()), GraphText(primary));
+  auto caught_up = stream.Poll(64);
+  ASSERT_TRUE(caught_up.ok());
+  EXPECT_FALSE(caught_up->lost_prefix);
+  EXPECT_TRUE(caught_up->deltas.empty());
+}
+
 TEST_F(ReplicationFixture, WalTailStopsCleanlyAtTornFrame) {
   std::string dir = FreshDir();
   WalOptions o;

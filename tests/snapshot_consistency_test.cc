@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -18,7 +19,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/engine/query_engine.h"
 #include "src/generator/generators.h"
+#include "src/graph/graph_io.h"
 #include "src/matching/bounded_simulation.h"
 #include "src/service/expfinder_service.h"
 #include "src/util/random.h"
@@ -221,6 +224,89 @@ TEST(SnapshotConsistencyTest, TinyRingRacesEvictionCleanly) {
   cfg.num_batches = 8;
   cfg.seed = 37;
   RunSnapshotSweep(cfg);
+}
+
+// A pinned compressed snapshot must keep its Gc, members and compressed-path
+// relations while the engine patches its working Gc under 50 later writes —
+// checked both by readers racing the writer and byte-for-byte afterwards.
+TEST(SnapshotConsistencyTest, PinnedCompressedSnapshotIgnoresLaterPatches) {
+  Graph g = gen::CollaborationNetwork({.num_people = 300, .num_teams = 50, .seed = 41});
+  EngineOptions opts;
+  opts.use_compression = true;
+  opts.use_cache = false;
+  QueryEngine engine(&g, opts);
+  const std::shared_ptr<const EngineSnapshot> pinned = engine.Publish();
+  ASSERT_NE(pinned->compressed, nullptr);
+  ASSERT_EQ(pinned->compressed_graph, pinned->compressed->gc_snapshot());
+
+  const CompressedGraph& cg = *pinned->compressed;
+  auto gc_text = [](const Graph& gc) {
+    std::ostringstream os;
+    EXPECT_TRUE(SaveGraphText(gc, os).ok());
+    return os.str();
+  };
+  const std::string text_before = gc_text(cg.gc());
+  const uint64_t gc_version = cg.gc().version();
+  const std::vector<uint32_t> block_of = cg.partition().block_of;
+  std::vector<std::vector<NodeId>> members;
+  for (uint32_t c = 0; c < cg.NumClasses(); ++c) {
+    auto m = cg.MembersOf(c);
+    members.emplace_back(m.begin(), m.end());
+  }
+  const std::vector<Pattern> patterns = {gen::TeamQuery(0), gen::TeamQuery(1),
+                                         gen::TeamQuery(2)};
+  std::vector<MatchRelation> expected;
+  for (const Pattern& q : patterns) {
+    expected.push_back(ComputeBoundedSimulation(pinned->graph->graph(), q));
+  }
+
+  std::atomic<bool> writer_done{false};
+  std::atomic<size_t> mismatches{0};
+  std::atomic<size_t> reads{0};
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      MatchContext ctx;
+      MatchContext cctx;
+      for (size_t i = t; !writer_done.load() || i < 12; ++i) {
+        const size_t p = i % patterns.size();
+        EvalPath path = EvalPath::kDirect;
+        auto rel = engine.EvaluateWith(*pinned, patterns[p],
+                                       MatchSemantics::kBoundedSimulation, {}, &ctx,
+                                       &cctx, &path);
+        if (!rel.ok() || path != EvalPath::kCompressed || !(*rel == expected[p])) {
+          mismatches.fetch_add(1);
+        }
+        reads.fetch_add(1);
+      }
+    });
+  }
+  uint64_t last_gc_version = gc_version;
+  for (size_t b = 0; b < 50; ++b) {
+    if (b % 10 == 5) {
+      ASSERT_TRUE(engine.AddNode("SA", {{"experience", AttrValue(int64_t{4})}}).ok());
+    }
+    UpdateBatch batch = GenerateUpdateStream(g, 8, 0.5, 4100 + b);
+    ASSERT_TRUE(engine.ApplyUpdates(batch).ok()) << "batch " << b;
+    auto snap = engine.Publish();
+    ASSERT_NE(snap->compressed, nullptr);
+    last_gc_version = snap->compressed->gc().version();
+  }
+  writer_done.store(true);
+  for (std::thread& r : readers) r.join();
+
+  EXPECT_EQ(mismatches.load(), 0u) << "of " << reads.load() << " pinned reads";
+  EXPECT_NE(last_gc_version, gc_version) << "the writes never patched Gc";
+  EXPECT_EQ(cg.gc().version(), gc_version);
+  EXPECT_EQ(gc_text(cg.gc()), text_before);
+  EXPECT_EQ(cg.partition().block_of, block_of);
+  ASSERT_EQ(cg.NumClasses(), members.size());
+  for (uint32_t c = 0; c < cg.NumClasses(); ++c) {
+    auto m = cg.MembersOf(c);
+    EXPECT_TRUE(std::equal(m.begin(), m.end(), members[c].begin(), members[c].end()))
+        << "class " << c;
+  }
+  EXPECT_EQ(pinned->compressed_graph->graph().version(), gc_version);
 }
 
 }  // namespace

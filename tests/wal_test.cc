@@ -374,6 +374,45 @@ TEST_F(WalFixture, TruncateBeforeDropsCoveredSegments) {
   EXPECT_FALSE(rec2.data_loss);
 }
 
+TEST_F(WalFixture, FullTruncationKeepsNamingTheNextLsn) {
+  WalRecovery first;
+  auto wal = Wal::Open(Options(), &first);
+  ASSERT_TRUE(wal.ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE((*wal)->Append("r").ok());
+  // A checkpoint covering every record: rotate, then drop what it covers.
+  ASSERT_TRUE((*wal)->Rotate().ok());
+  ASSERT_TRUE((*wal)->TruncateBefore(3).ok());
+  EXPECT_EQ(SegmentFiles(), std::vector<std::string>{"wal-0000000000000003.log"});
+  // A reader one record behind must learn that it has to re-anchor.
+  auto behind = (*wal)->TailFrom(2, 16);
+  ASSERT_TRUE(behind.ok()) << behind.status();
+  EXPECT_TRUE(behind->lost_prefix);
+  EXPECT_TRUE(behind->records.empty());
+  auto caught_up = (*wal)->TailFrom(3, 16);
+  ASSERT_TRUE(caught_up.ok());
+  EXPECT_FALSE(caught_up->lost_prefix);
+  EXPECT_TRUE(caught_up->records.empty());
+  // Rotating again before any append reopens the same empty segment.
+  ASSERT_TRUE((*wal)->Rotate().ok());
+  EXPECT_EQ((*wal)->NumSegments(), 1u);
+  // Recovery resumes the numbering; appends continue it.
+  (*wal).reset();
+  WalRecovery rec;
+  auto reopened = Wal::Open(Options(), &rec);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_TRUE(rec.records.empty());
+  EXPECT_EQ(rec.next_lsn, 3u);
+  EXPECT_FALSE(rec.data_loss);
+  auto lsn = (*reopened)->Append("after");
+  ASSERT_TRUE(lsn.ok());
+  EXPECT_EQ(*lsn, 3u);
+  EXPECT_EQ((*reopened)->NumSegments(), 1u);
+  auto tail = (*reopened)->TailFrom(3, 16);
+  ASSERT_TRUE(tail.ok());
+  ASSERT_EQ(tail->records.size(), 1u);
+  EXPECT_EQ(tail->records[0].payload, "after");
+}
+
 TEST_F(WalFixture, AppendAfterRecoveryStartsFreshSegment) {
   {
     WalRecovery rec;
